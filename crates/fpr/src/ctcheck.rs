@@ -12,8 +12,9 @@
 //!
 //! Without the feature the hooks are empty `#[inline(always)]` functions
 //! and compile to nothing; with the feature but no armed recorder each
-//! hook is a single relaxed atomic load (the same cheap-off-path pattern
-//! as `falcon_obs::emit`).
+//! hook is one thread-local lookup that finds no trace. Arming is purely
+//! per thread, so concurrent checkers (parallel tests) never see or
+//! truncate each other's traces.
 
 /// Trace site identifiers, one per instrumented control-flow location.
 ///
@@ -57,27 +58,20 @@ pub mod sites {
 #[cfg(feature = "ct-check")]
 mod imp {
     use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// Process-wide fast gate: when false (the default), hooks cost one
-    /// relaxed load. Arming is only meaningful for the arming thread —
-    /// recording state itself is thread-local.
-    static ARMED: AtomicBool = AtomicBool::new(false);
 
     thread_local! {
+        /// The current thread's recorder: `Some` while armed.
         static TRACE: RefCell<Option<Vec<u32>>> = const { RefCell::new(None) };
     }
 
     /// Records an executed control-flow site (when armed on this thread).
     #[inline]
     pub fn site(id: u32) {
-        if ARMED.load(Ordering::Relaxed) {
-            TRACE.with(|t| {
-                if let Some(v) = t.borrow_mut().as_mut() {
-                    v.push(id);
-                }
-            });
-        }
+        TRACE.with(|t| {
+            if let Some(v) = t.borrow_mut().as_mut() {
+                v.push(id);
+            }
+        });
     }
 
     /// Records a data-dependent memory access: the site and the index
@@ -85,25 +79,21 @@ mod imp {
     /// lookups diverge across operand classes.
     #[inline]
     pub fn index(id: u32, idx: usize) {
-        if ARMED.load(Ordering::Relaxed) {
-            TRACE.with(|t| {
-                if let Some(v) = t.borrow_mut().as_mut() {
-                    v.push(id);
-                    v.push(idx as u32);
-                }
-            });
-        }
+        TRACE.with(|t| {
+            if let Some(v) = t.borrow_mut().as_mut() {
+                v.push(id);
+                v.push(idx as u32);
+            }
+        });
     }
 
     /// Starts recording on the current thread with an empty trace.
     pub fn arm() {
         TRACE.with(|t| *t.borrow_mut() = Some(Vec::with_capacity(128)));
-        ARMED.store(true, Ordering::Relaxed);
     }
 
     /// Stops recording and returns the trace captured on this thread.
     pub fn disarm() -> Vec<u32> {
-        ARMED.store(false, Ordering::Relaxed);
         TRACE.with(|t| t.borrow_mut().take().unwrap_or_default())
     }
 }
