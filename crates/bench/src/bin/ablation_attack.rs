@@ -7,8 +7,8 @@
 //! ```
 
 use falcon_bench::report::{arg_or, print_table};
-use falcon_dema::attack::{recover_coefficient, AttackConfig};
-use falcon_dema::Dataset;
+use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
+use falcon_dema::{ColumnSource, Dataset};
 use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope};
 use falcon_sig::rng::Prng;
 use falcon_sig::{KeyPair, LogN};
@@ -52,8 +52,13 @@ fn main() {
     let mut rows = Vec::new();
     for cfg in configs {
         let t0 = Instant::now();
-        let ok =
-            targets.iter().filter(|&&t| recover_coefficient(&ds, t, &cfg).bits == truth[t]).count();
+        let ok = targets
+            .iter()
+            .filter(|&&t| {
+                let block = ds.target_block(t).expect("a collected dataset holds its targets");
+                recover_coefficient_block(&block, &cfg).bits == truth[t]
+            })
+            .count();
         let dt = t0.elapsed();
         rows.push(vec![
             format!("step={} beam={}", cfg.step_bits, cfg.beam_width),

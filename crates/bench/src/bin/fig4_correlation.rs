@@ -15,11 +15,14 @@
 
 use falcon_bench::report::{arg_or, print_csv, print_table};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
-use falcon_dema::attack::{recover_mantissa_half, AttackConfig};
+use falcon_dema::attack::{
+    monolithic_correlations, recover_mantissa_half_block, recover_sign_block,
+    recover_sign_exponent_block, AttackConfig,
+};
 use falcon_dema::confidence::threshold_9999;
 use falcon_dema::cpa::CorrMatrix;
 use falcon_dema::model::{hyp_exponent_with_carry, hyp_sign, KnownOperand, SecretHalf};
-use falcon_dema::{monolithic_correlations, Dataset};
+use falcon_dema::{ColumnSource, Dataset};
 use falcon_emsim::StepKind;
 use falcon_sig::rng::Prng;
 
@@ -80,6 +83,7 @@ fn main() {
     let (mut device, _vk, truth) = victim(logn, noise, "fig4 victim");
     let mut msgs = Prng::from_seed(b"fig4 messages");
     let ds = Dataset::collect(&mut device, &[coeff], traces, &mut msgs);
+    let block = ds.target_block(coeff).expect("a collected dataset holds its own target");
     let d = (2 * traces) as u64; // two multiplications observed per trace
 
     let truth_bits = truth[coeff];
@@ -89,8 +93,8 @@ fn main() {
     // Attacker-side mantissa recovery feeds the exponent carry model and
     // the monolithic window's high bits.
     let cfg = AttackConfig::default();
-    let lo = recover_mantissa_half(&ds, coeff, SecretHalf::Low, None, &cfg);
-    let hi = recover_mantissa_half(&ds, coeff, SecretHalf::High, Some(lo.value), &cfg);
+    let lo = recover_mantissa_half_block(&block, SecretHalf::Low, None, &cfg);
+    let hi = recover_mantissa_half_block(&block, SecretHalf::High, Some(lo.value), &cfg);
     println!(
         "incremental mantissa recovery: low {:#09x} (true {true_d:#09x}), high {:#09x} (true {true_c:#09x})",
         lo.value, hi.value
@@ -117,12 +121,20 @@ fn main() {
         }
     }
     panel_report("(a) sign", &m_sign, &sign_guesses, truth_bits >> 63, d);
+    let sign = recover_sign_block(&block);
+    println!(
+        "sign-only recovery: sign={} (true {}) corr {:.4} vs {:.4}",
+        sign.value,
+        truth_bits >> 63,
+        sign.corr,
+        sign.runner_up
+    );
     panel_report("(b) exponent", &m_exp, &exp_guesses, (truth_bits >> 52) & 0x7FF, d);
     // Single-step exponent CPA can leave an affine-aliased family of
     // guesses tied (Pearson is blind to constant hypothesis offsets when
     // the known exponents span a narrow range); the pipeline's joint
     // sign+exponent model resolves it (see EXPERIMENTS.md, deviation D2).
-    let (j_sign, j_exp) = falcon_dema::recover_sign_exponent(&ds, coeff, hi.value, lo.value);
+    let (j_sign, j_exp) = recover_sign_exponent_block(&block, hi.value, lo.value);
     println!(
         "\njoint sign+exponent recovery: sign={} exponent={:#05x} (true {}/{:#05x}) corr {:.4} vs runner-up {:.4}",
         j_sign.value,
@@ -135,8 +147,7 @@ fn main() {
 
     // Panels (c)/(d): monolithic mantissa window on the low half.
     let rest = lo.value >> width;
-    let (guesses, extend, prune) =
-        monolithic_correlations(&ds, coeff, SecretHalf::Low, width, rest, 0);
+    let (guesses, extend, prune) = monolithic_correlations(&block, SecretHalf::Low, width, rest, 0);
     panel_report("(c) mantissa multiplication (extend)", &extend, &guesses, true_d, d);
     panel_report("(d) mantissa addition (prune)", &prune, &guesses, true_d, d);
 

@@ -12,7 +12,7 @@
 //!    host without SIMD the report records the fallback and asserts
 //!    scalar parity instead.
 //! 2. **Monolithic mode** — the paper's one-shot enumeration as a real
-//!    recovery: a windowed `recover_mantissa_half_monolithic` against a
+//!    recovery: a windowed `recover_mantissa_half_monolithic_block` against a
 //!    seeded FALCON-8 victim under both kernels (correctness asserted
 //!    against the ground-truth key), reporting measured guesses/sec and
 //!    the projected wall time of the full 2^25 / 2^27 runs. With
@@ -29,10 +29,11 @@ use falcon_bench::json::Json;
 use falcon_bench::report::{arg_or, print_table};
 use falcon_bench::setup::victim;
 use falcon_dema::acquire::Dataset;
+use falcon_dema::attack::recover_mantissa_half_monolithic_block;
 use falcon_dema::cpa::simd::{self, KernelChoice};
 use falcon_dema::cpa::{PearsonSums, SampleSums};
 use falcon_dema::model::SecretHalf;
-use falcon_dema::recover_mantissa_half_monolithic;
+use falcon_dema::source::ColumnSource;
 use falcon_obs as obs;
 use std::hint::black_box;
 use std::time::Instant;
@@ -83,7 +84,15 @@ fn monolithic_leg(
     let name = simd::active_kernel().name();
     let before = obs::metrics().snapshot();
     let t0 = Instant::now();
-    let r = recover_mantissa_half_monolithic(ds, 0, SecretHalf::Low, Some(c_hi), width, rest, 64);
+    let block = ds.target_block(0).expect("a planted dataset holds target 0");
+    let r = recover_mantissa_half_monolithic_block(
+        &block,
+        SecretHalf::Low,
+        Some(c_hi),
+        width,
+        rest,
+        64,
+    );
     let secs = t0.elapsed().as_secs_f64();
     let after = obs::metrics().snapshot();
     simd::set_kernel(None);
@@ -144,7 +153,9 @@ fn main() {
     let full_run = (full != 0).then(|| {
         simd::set_kernel(Some(KernelChoice::Auto));
         let t0 = Instant::now();
-        let r = recover_mantissa_half_monolithic(&ds, 0, SecretHalf::Low, Some(c_hi), 25, 0, 64);
+        let block = ds.target_block(0).expect("a planted dataset holds target 0");
+        let r =
+            recover_mantissa_half_monolithic_block(&block, SecretHalf::Low, Some(c_hi), 25, 0, 64);
         let secs = t0.elapsed().as_secs_f64();
         simd::set_kernel(None);
         assert_eq!(r.value, d_lo, "full 2^25 monolithic run must recover the true low half");

@@ -15,7 +15,7 @@
 //! so a killed campaign resumes bit-for-bit where it stopped.
 
 use crate::acquire::Dataset;
-use crate::attack::{coefficient_confidence, recover_coefficient, AttackConfig};
+use crate::attack::{coefficient_confidence_block, recover_coefficient_block, AttackConfig};
 use crate::confidence;
 use crate::error::{Error, Result};
 use crate::io;
@@ -238,7 +238,8 @@ impl Campaign {
     ///
     /// Propagates acquisition/bookkeeping errors; the campaign is left
     /// in its pre-batch state in that case only if the error occurred
-    /// during acquisition (evaluation is infallible).
+    /// during acquisition (evaluation reads each target's own resident
+    /// columns, which cannot fail).
     pub fn step(&mut self, device: &mut Device, msg_rng: &mut Prng) -> Result<bool> {
         if self.is_done() {
             return Ok(false);
@@ -257,7 +258,7 @@ impl Campaign {
             for state in self.states.iter_mut().filter(|s| s.resolved.is_none()) {
                 let sub = ds.select_targets(&[state.target])?;
                 state.data.append(&sub)?;
-                evaluate(state, &self.cfg);
+                evaluate(state, &self.cfg)?;
             }
         }
         obs::metrics().counter("campaign.batches").incr();
@@ -500,15 +501,16 @@ impl Campaign {
 
 /// Re-attacks one coefficient on its accumulated data and advances its
 /// convergence tracker.
-fn evaluate(state: &mut TargetState, cfg: &CampaignConfig) {
+fn evaluate(state: &mut TargetState, cfg: &CampaignConfig) -> Result<()> {
     let traces = state.data.traces();
     // tanh thresholds need d > 3; a handful of traces cannot clear a
     // 99.99 % bar anyway, so skip the (expensive) re-attack entirely.
     if traces < 8 {
-        return;
+        return Ok(());
     }
-    let r = recover_coefficient(&state.data, state.target, &cfg.attack);
-    let conf = coefficient_confidence(&state.data, state.target, r.bits);
+    let block = state.data.target_block(state.target)?;
+    let r = recover_coefficient_block(&block, &cfg.attack);
+    let conf = coefficient_confidence_block(&block, r.bits);
     state.confidence = conf;
     let cleared = conf >= cfg.margin * confidence::threshold_9999(traces as u64);
     if cleared && state.last_bits == Some(r.bits) {
@@ -531,6 +533,7 @@ fn evaluate(state: &mut TargetState, cfg: &CampaignConfig) {
                 .with_u64("traces", traces as u64)
         });
     }
+    Ok(())
 }
 
 const OCKPT_MAGIC: &[u8; 7] = b"FDNOCKP";
@@ -670,7 +673,7 @@ impl OfflineCampaign {
                 .as_ref()
                 .expect("cache populated above")
                 .truncated(self.consumed[self.cursor]);
-            evaluate(state, &self.cfg);
+            evaluate(state, &self.cfg)?;
         }
         if state.resolved.is_some() || self.consumed[self.cursor] >= budget {
             // Target finished: drop its trace data (the report reads

@@ -7,10 +7,11 @@
 //! the growth in traces-to-disclosure.
 
 use crate::acquire::Dataset;
-use crate::attack::{recover_coefficient, AttackConfig};
+use crate::attack::{recover_coefficient_block, AttackConfig};
 use crate::confidence::traces_to_disclosure;
 use crate::cpa::pearson_evolution;
 use crate::model::{hyp_sign, KnownOperand};
+use crate::source::ColumnSource;
 use falcon_emsim::{Device, StepKind};
 use falcon_sig::rng::Prng;
 
@@ -37,7 +38,8 @@ pub fn evaluate_device(
 ) -> DefenceOutcome {
     let truth = device.signing_key().f_fft()[target].to_bits();
     let ds = Dataset::collect(device, &[target], n_traces, msg_rng);
-    let result = recover_coefficient(&ds, target, cfg);
+    let block = ds.target_block(target).expect("a collected dataset holds its own target");
+    let result = recover_coefficient_block(&block, cfg);
 
     // Sign-leak evolution with the true sign hypothesis (occurrence 0).
     let true_sign = (truth >> 63) as u32;

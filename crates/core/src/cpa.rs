@@ -336,35 +336,6 @@ pub fn pearson(hyps: &[f64], samples: &[f32]) -> f64 {
     }
 }
 
-/// [`pearson`] against one sample column of a [`ColumnSource`]: the
-/// column-level seam used by ingest verification and the streaming
-/// bench, identical for resident and streamed sources.
-///
-/// # Errors
-///
-/// Propagates the source's
-/// [`target_block`](crate::source::ColumnSource::target_block) failure,
-/// and returns
-/// [`Error::ShapeMismatch`](crate::error::Error::ShapeMismatch) when
-/// `hyps` does not have one entry per trace.
-pub fn pearson_source<S: crate::source::ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-    occ: usize,
-    step: falcon_emsim::StepKind,
-    hyps: &[f64],
-) -> crate::error::Result<f64> {
-    let block = src.target_block(target)?;
-    if hyps.len() != block.traces() {
-        return Err(crate::error::Error::ShapeMismatch {
-            what: "hypothesis column",
-            expected: block.traces(),
-            got: hyps.len(),
-        });
-    }
-    Ok(pearson(hyps, block.sample_column(occ, step)))
-}
-
 /// Correlation between a hypothesis vector and every prefix of the trace
 /// set: entry `i` is the correlation over the first `i + 1` traces.
 ///

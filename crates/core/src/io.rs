@@ -526,7 +526,8 @@ mod tests {
 
     #[test]
     fn attack_works_on_reloaded_dataset() {
-        use crate::attack::{recover_coefficient, AttackConfig};
+        use crate::attack::{recover_coefficient_block, AttackConfig};
+        use crate::source::ColumnSource;
         let mut rng = Prng::from_seed(b"io attack key");
         let kp = KeyPair::generate(LogN::new(3).unwrap(), &mut rng);
         let truth = kp.signing_key().f_fft()[0].to_bits();
@@ -542,7 +543,7 @@ mod tests {
         let mut buf = Vec::new();
         write_dataset(&ds, &mut buf).unwrap();
         let back = read_dataset(&buf[..]).unwrap();
-        let r = recover_coefficient(&back, 0, &AttackConfig::default());
+        let r = recover_coefficient_block(&back.target_block(0).unwrap(), &AttackConfig::default());
         assert_eq!(r.bits, truth);
     }
 }

@@ -16,7 +16,8 @@
 //!
 //! ```
 //! use falcon_dema::acquire::Dataset;
-//! use falcon_dema::attack::{recover_coefficient, AttackConfig};
+//! use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
+//! use falcon_dema::ColumnSource;
 //! use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope};
 //! use falcon_sig::{rng::Prng, KeyPair, LogN};
 //!
@@ -35,8 +36,9 @@
 //! // Acquire traces and recover one coefficient of FFT(f).
 //! let mut msgs = Prng::from_seed(b"messages");
 //! let ds = Dataset::collect(&mut device, &[0], 200, &mut msgs);
-//! let r = recover_coefficient(&ds, 0, &AttackConfig::default());
+//! let r = recover_coefficient_block(&ds.target_block(0)?, &AttackConfig::default());
 //! assert_eq!(r.bits, truth);
+//! # Ok::<(), falcon_dema::Error>(())
 //! ```
 
 // `deny` (not `forbid`) so the one audited exception can opt in:
@@ -72,10 +74,10 @@ pub mod stream;
 pub mod template;
 
 pub use acquire::Dataset;
-pub use attack::recover_sign_exponent;
 pub use attack::{
-    monolithic_correlations, recover_all, recover_coefficient, recover_mantissa_half_monolithic,
-    AttackConfig, CoefficientResult, ComponentResult,
+    monolithic_correlations, recover_all_verified, recover_coefficient_block,
+    recover_mantissa_half_monolithic_block, recover_sign_exponent_block, AttackConfig,
+    CoefficientResult, ComponentResult,
 };
 pub use campaign::{Campaign, CampaignConfig, CampaignReport, CoefficientStatus, OfflineCampaign};
 pub use error::{Error, Result};

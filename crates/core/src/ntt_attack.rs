@@ -79,28 +79,6 @@ pub fn attack_ntt_coefficient(
     NttAttackResult { guess, corr, runner_up, disclosure: traces_to_disclosure(&evo) }
 }
 
-/// Runs the NTT distinguisher over one target of an archived
-/// [`ColumnSource`](crate::source::ColumnSource): the first
-/// occurrence's known column carries `c_ntt` values and its first step
-/// column the modular-product leakage — the layout
-/// [`crate::ingest`] produces for NTT captures. No ground truth is
-/// available for an archive, so `disclosure` is `None`.
-///
-/// # Errors
-///
-/// Propagates the source's
-/// [`target_block`](crate::source::ColumnSource::target_block) failure.
-pub fn attack_ntt_target<S: crate::source::ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-) -> crate::error::Result<NttAttackResult> {
-    let block = src.target_block(target)?;
-    let knowns: Vec<u32> = block.known_column(0).iter().map(|&k| k as u32).collect();
-    let samples = block.sample_column(0, falcon_emsim::StepKind::ALL[0]);
-    let (guess, corr, runner_up) = score_ntt_column(&knowns, samples);
-    Ok(NttAttackResult { guess, corr, runner_up, disclosure: None })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

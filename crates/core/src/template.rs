@@ -164,7 +164,7 @@ pub fn rank_by_likelihood<F: Fn(u64, &KnownOperand) -> u32>(
 }
 
 /// Template-based sign recovery: the profiled counterpart of
-/// [`crate::attack::recover_sign`]. Returns the winning sign bit and the
+/// [`crate::attack::recover_sign_block`]. Returns the winning sign bit and the
 /// log-likelihood margin over the alternative.
 pub fn template_sign(ds: &Dataset, target: usize, templates: &Templates) -> (u32, f64) {
     assert_eq!(templates.step(), StepKind::SignXor);

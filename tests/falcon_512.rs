@@ -5,8 +5,8 @@
 //! so the heavier cases are `#[ignore]`d; run them with
 //! `cargo test --release -- --ignored`.
 
-use falcon_down::dema::attack::{recover_coefficient, AttackConfig};
-use falcon_down::dema::Dataset;
+use falcon_down::dema::attack::{recover_coefficient_block, AttackConfig};
+use falcon_down::dema::{ColumnSource, Dataset};
 use falcon_down::emsim::{Device, LeakageModel, MeasurementChain, Scope};
 use falcon_down::sig::rng::Prng;
 use falcon_down::sig::{KeyPair, LogN};
@@ -44,7 +44,7 @@ fn falcon_512_coefficient_extraction() {
     let ds = Dataset::collect(&mut device, &targets, 800, &mut msgs);
     let cfg = AttackConfig::default();
     for &t in &targets {
-        let r = recover_coefficient(&ds, t, &cfg);
+        let r = recover_coefficient_block(&ds.target_block(t).unwrap(), &cfg);
         assert_eq!(r.bits, truth[t], "coefficient {t}");
     }
 }
