@@ -93,7 +93,7 @@ fn run_pipeline(
     let correlations = after.counter_delta(&before, "attack.correlations");
     let traces_per_sec = captures as f64 / capture.max(1e-12);
     let correlations_per_sec = correlations as f64 / attack.max(1e-12);
-    let screening_overhead_pct = 100.0 * gates / capture.max(1e-12);
+    let screening_overhead_pct = 100.0 * gates / campaign_wall.max(1e-12);
 
     // Conservative instrumentation bound: every op of the whole batch
     // loop priced at the microbenchmarked no-op cost, charged entirely

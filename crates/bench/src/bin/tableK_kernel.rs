@@ -11,7 +11,13 @@
 //!    after must clear **2× correlations/sec** over the before; on a
 //!    host without SIMD the report records the fallback and asserts
 //!    scalar parity instead.
-//! 2. **Monolithic mode** — the paper's one-shot enumeration as a real
+//! 2. **Extend column** — one extend candidate's work per column
+//!    element: the unfused path (generate the `hyp_partial_product`
+//!    column, then the `push_column_reusing` tile, each layer also timed
+//!    alone) against the fused `push_product_column` tile, under both
+//!    kernels. All four legs are asserted bit-identical; the speedup is
+//!    reported, not gated (runner speeds vary).
+//! 3. **Monolithic mode** — the paper's one-shot enumeration as a real
 //!    recovery: a windowed `recover_mantissa_half_monolithic_block` against a
 //!    seeded FALCON-8 victim under both kernels (correctness asserted
 //!    against the ground-truth key), reporting measured guesses/sec and
@@ -32,7 +38,7 @@ use falcon_dema::acquire::Dataset;
 use falcon_dema::attack::recover_mantissa_half_monolithic_block;
 use falcon_dema::cpa::simd::{self, KernelChoice};
 use falcon_dema::cpa::{PearsonSums, SampleSums};
-use falcon_dema::model::SecretHalf;
+use falcon_dema::model::{hyp_partial_product, SecretHalf};
 use falcon_dema::source::ColumnSource;
 use falcon_obs as obs;
 use std::hint::black_box;
@@ -67,6 +73,86 @@ fn tile_corr_per_sec(choice: KernelChoice, reuse: bool, h: &[f64], t: &[f32]) ->
             return iters as f64 / secs;
         }
         iters *= 4;
+    }
+}
+
+/// Candidates per extend-column timing pass.
+const EXTEND_CANDS: u32 = 2048;
+
+/// The layers of one extend column, timed separately.
+#[derive(Clone, Copy)]
+enum ExtendLeg {
+    /// `hyp_partial_product` into a reused buffer, nothing else.
+    Generate,
+    /// `push_column_reusing` over an already generated column.
+    Tile,
+    /// Generate, then tile: the extend step before fusion.
+    Unfused,
+    /// `push_product_column`: generation inside the tile.
+    Fused,
+}
+
+/// The Pearson sums, as bits, of one full-width (25-bit) extend
+/// candidate over one known/sample column pair, unfused or fused.
+fn extend_column_bits(
+    fused: bool,
+    cand: u32,
+    knowns: &[u32],
+    t: &[f32],
+    sums: &SampleSums,
+) -> [u64; 6] {
+    let mut acc = PearsonSums::default();
+    if fused {
+        acc.push_product_column(cand, u64::MAX, knowns, t, sums);
+    } else {
+        let h: Vec<f64> =
+            knowns.iter().map(|&k| hyp_partial_product(cand.into(), 25, k, 25)).collect();
+        acc.push_column_reusing(&h, t, sums);
+    }
+    acc.components().map(f64::to_bits)
+}
+
+/// Nanoseconds per column element of one extend-column layer over
+/// [`EXTEND_CANDS`] candidates under the given kernel policy.
+fn extend_ns_per_elem(choice: KernelChoice, leg: ExtendLeg, knowns: &[u32], t: &[f32]) -> f64 {
+    simd::set_kernel(Some(choice));
+    let sums = SampleSums::new(t);
+    let fixed: Vec<f64> = knowns.iter().map(|&k| hyp_partial_product(1, 25, k, 25)).collect();
+    let mut scratch: Vec<f64> = Vec::with_capacity(knowns.len());
+    let mut pass = |reps: u32| {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            for cand in 0..EXTEND_CANDS {
+                let cand = black_box(cand.wrapping_mul(0x9E37_79B1) >> 7);
+                let mut acc = PearsonSums::default();
+                if matches!(leg, ExtendLeg::Generate | ExtendLeg::Unfused) {
+                    scratch.clear();
+                    scratch.extend(
+                        knowns.iter().map(|&k| hyp_partial_product(cand.into(), 25, k, 25)),
+                    );
+                    black_box(&scratch);
+                }
+                match leg {
+                    ExtendLeg::Generate => {}
+                    ExtendLeg::Tile => acc.push_column_reusing(black_box(&fixed), t, &sums),
+                    ExtendLeg::Unfused => acc.push_column_reusing(&scratch, t, &sums),
+                    ExtendLeg::Fused => acc.push_product_column(cand, u64::MAX, knowns, t, &sums),
+                }
+                black_box(acc.corr());
+            }
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    pass(1);
+    let mut reps = 1u32;
+    loop {
+        let secs = pass(reps);
+        if secs > 0.25 {
+            simd::set_kernel(None);
+            let elems = f64::from(reps) * f64::from(EXTEND_CANDS) * knowns.len() as f64;
+            return secs * 1e9 / elems;
+        }
+        reps *= 4;
     }
 }
 
@@ -133,7 +219,41 @@ fn main() {
     let after_cps = tile[3].1;
     let speedup = after_cps / before_cps;
 
-    // ---- 2. monolithic mode -------------------------------------------------
+    // ---- 2. extend column ---------------------------------------------------
+    // 25-bit known halves against the same samples, full-width window.
+    let knowns: Vec<u32> =
+        (0..points).map(|i| (i as u32).wrapping_mul(2_654_435_761) & 0x1FF_FFFF).collect();
+    for cand in [0u32, 1, 0x1FF_FFFF, 0x0AB_CDEF] {
+        let sums = SampleSums::new(&t);
+        let mut bits = Vec::new();
+        for choice in [KernelChoice::Scalar, KernelChoice::Auto] {
+            simd::set_kernel(Some(choice));
+            bits.push(extend_column_bits(false, cand, &knowns, &t, &sums));
+            bits.push(extend_column_bits(true, cand, &knowns, &t, &sums));
+        }
+        simd::set_kernel(None);
+        assert!(
+            bits.iter().all(|b| *b == bits[0]),
+            "extend-column sums must be bit-identical across fusion and kernels (cand {cand:#x})"
+        );
+    }
+    let extend_legs = [
+        ("generate", ExtendLeg::Generate),
+        ("tile", ExtendLeg::Tile),
+        ("unfused", ExtendLeg::Unfused),
+        ("fused", ExtendLeg::Fused),
+    ];
+    let mut extend: Vec<(String, f64)> = Vec::new();
+    for (kname, choice) in [("scalar", KernelChoice::Scalar), ("auto", KernelChoice::Auto)] {
+        for &(lname, leg) in &extend_legs {
+            let ns = extend_ns_per_elem(choice, leg, &knowns, &t);
+            extend.push((format!("{kname} {lname}"), ns));
+        }
+    }
+    // extend[2] is scalar unfused, extend[7] auto fused.
+    let fused_speedup = extend[2].1 / extend[7].1;
+
+    // ---- 3. monolithic mode -------------------------------------------------
     let (mut device, _vk, truth) = victim(3, noise, "kernel bench");
     let mut msgs = falcon_sig::rng::Prng::from_seed(b"kernel bench msgs");
     let ds = Dataset::collect(&mut device, &[0], traces, &mut msgs);
@@ -170,6 +290,14 @@ fn main() {
         })
         .collect();
     rows.push(vec!["tile".into(), "speedup (after/before)".into(), format!("{speedup:.2}×")]);
+    for (name, ns) in &extend {
+        rows.push(vec!["extend column".into(), name.clone(), format!("{ns:.3} ns/elem")]);
+    }
+    rows.push(vec![
+        "extend column".into(),
+        "speedup (scalar unfused / auto fused)".into(),
+        format!("{fused_speedup:.2}×"),
+    ]);
     rows.push(vec![
         "monolithic".into(),
         format!("scalar, 2^{width} window"),
@@ -211,6 +339,14 @@ fn main() {
                 j = j.field(name, cps);
             }
             j.field("speedup_after_over_before", speedup)
+        })
+        .field("extend_column", {
+            let mut j = Json::obj().field("points", points).field("candidates", EXTEND_CANDS);
+            for (name, ns) in &extend {
+                j = j.field(&format!("{}_ns_per_elem", name.replace(' ', "_")), *ns);
+            }
+            j.field("speedup_scalar_unfused_over_auto_fused", fused_speedup)
+                .field("bit_identical", true)
         })
         .field(
             "monolithic",

@@ -4,7 +4,8 @@
 //! One seeded FALCON-N victim is captured once; the dataset is then
 //! attacked twice — from memory (`Dataset` as a `ColumnSource`) and
 //! through the chunk-streamed `StreamedDataset` at several prefetch
-//! ring depths. The table reports wall time, effective read bandwidth,
+//! ring depths. The table reports wall time, the time spent fetching
+//! target blocks, read bandwidth (archive bytes over that fetch time),
 //! the ring's staging high-water mark against its configured budget,
 //! and asserts every leg recovers bit-identical coefficients (the
 //! streamed plane's whole contract: bounded memory, zero output drift).
@@ -27,19 +28,23 @@ use falcon_sig::rng::Prng;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Recovers every targeted coefficient from `src`; returns the bits and
-/// the wall seconds.
-fn sweep<S: ColumnSource + ?Sized>(src: &S, cfg: &AttackConfig) -> (Vec<u64>, f64) {
+/// Recovers every targeted coefficient from `src`; returns the bits,
+/// the wall seconds, and the seconds spent inside `target_block` (the
+/// column fetch alone).
+fn sweep<S: ColumnSource + ?Sized>(src: &S, cfg: &AttackConfig) -> (Vec<u64>, f64, f64) {
     let t0 = Instant::now();
+    let mut fetch = 0.0;
     let bits: Vec<u64> = src
         .targets()
         .iter()
         .map(|&t| {
+            let f0 = Instant::now();
             let block = src.target_block(t).expect("column source failed");
+            fetch += f0.elapsed().as_secs_f64();
             recover_coefficient_block(&block, cfg).bits
         })
         .collect();
-    (bits, t0.elapsed().as_secs_f64())
+    (bits, t0.elapsed().as_secs_f64(), fetch)
 }
 
 fn main() {
@@ -65,13 +70,14 @@ fn main() {
     let file_len = std::fs::metadata(&archive).expect("archive metadata").len();
 
     let cfg = AttackConfig::default();
-    let (resident_bits, resident_wall) = sweep(&ds, &cfg);
+    let (resident_bits, resident_wall, _) = sweep(&ds, &cfg);
     assert_eq!(resident_bits, truth, "resident recovery must match the victim key");
 
     let mut rows = vec![vec![
         "resident".into(),
         format!("{:.1}", file_len as f64 / (1 << 20) as f64),
         format!("{resident_wall:.3}"),
+        "-".into(),
         "-".into(),
         "-".into(),
         "baseline".into(),
@@ -81,7 +87,7 @@ fn main() {
         let ring = RingConfig { chunk_bytes: chunk, depth };
         stream::reset_ring_peak();
         let sd = StreamedDataset::open(&archive, ring).expect("open streamed dataset");
-        let (bits, wall) = sweep(&sd, &cfg);
+        let (bits, wall, fetch) = sweep(&sd, &cfg);
         assert_eq!(bits, resident_bits, "streamed recovery must be bit-identical (depth {depth})");
         // One full pass of the payload per coefficient sweep.
         let streamed_mb = (file_len as f64) / (1 << 20) as f64;
@@ -96,7 +102,8 @@ fn main() {
             format!("streamed d={depth}"),
             format!("{streamed_mb:.1}"),
             format!("{wall:.3}"),
-            format!("{:.1}", streamed_mb / wall),
+            format!("{fetch:.4}"),
+            format!("{:.1}", streamed_mb / fetch),
             format!("{}/{}", peak as u64, ring.capacity_bytes()),
             format!("{overhead_pct:+.1}% vs resident"),
         ]);
@@ -105,7 +112,8 @@ fn main() {
                 .field("ring_depth", depth as u64)
                 .field("chunk_bytes", chunk as u64)
                 .field("wall_s", wall)
-                .field("read_mb_per_s", streamed_mb / wall)
+                .field("fetch_s", fetch)
+                .field("read_mb_per_s", streamed_mb / fetch)
                 .field("ring_peak_bytes", peak as u64)
                 .field("ring_capacity_bytes", ring.capacity_bytes() as u64)
                 .field("overhead_pct", overhead_pct)
@@ -114,7 +122,7 @@ fn main() {
     }
     print_table(
         &format!("B-STREAM: out-of-core recovery (FALCON-{n}, {traces} traces)"),
-        &["source", "MB", "wall (s)", "MB/s", "peak/budget B", "notes"],
+        &["source", "MB", "wall (s)", "fetch (s)", "MB/s", "peak/budget B", "notes"],
         &rows,
     );
     println!("all streamed legs recovered bit-identical coefficients");

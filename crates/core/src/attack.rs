@@ -166,23 +166,25 @@ impl TargetColumns<'_> {
             .collect()
     }
 
-    /// Correlation of the partial-product model for `cand` (low `m_bits`
-    /// of the secret half) across all product columns, together with the
-    /// hypothesis variance (a candidate with near-constant hypotheses is
-    /// statistically handicapped in the correlation ranking, not
-    /// refuted). `scratch` is the caller's reusable hypothesis buffer —
-    /// its prior contents are irrelevant; `sums` must come from
-    /// [`extend_sums`](TargetColumns::extend_sums) at the same
-    /// `max_points`.
+    /// Correlation of the partial-product model
+    /// ([`hyp_partial_product`](crate::model::hyp_partial_product)) for
+    /// `cand` (low `m_bits` of the secret half) across all product
+    /// columns, together with the hypothesis variance (a candidate with
+    /// near-constant hypotheses is statistically handicapped in the
+    /// correlation ranking, not refuted). The hypotheses are generated
+    /// inside the fused [`PearsonSums::push_product_column`] tile; `sums`
+    /// must come from [`extend_sums`](TargetColumns::extend_sums) at the
+    /// same `max_points`.
     fn extend_score(
         &self,
-        scratch: &mut Vec<f64>,
         cand: u64,
         m_bits: u32,
         full_width: u32,
         max_points: usize,
         sums: &[SampleSums],
     ) -> (f64, f64) {
+        let cand = u32::try_from(cand).expect("mantissa-half candidates fit in 28 bits");
+        let mask = if m_bits >= full_width { u64::MAX } else { (1u64 << m_bits) - 1 };
         // Pearson over the concatenation of all columns, capped at
         // `max_points` per column (intermediate beam levels only need
         // enough statistics to keep the truth alive; the final level and
@@ -190,11 +192,7 @@ impl TargetColumns<'_> {
         let mut acc = PearsonSums::default();
         for ((kn, samples), ss) in self.cols.iter().zip(sums) {
             let take = kn.len().min(max_points);
-            scratch.clear();
-            scratch.extend(
-                kn[..take].iter().map(|&k| hyp_partial_product(cand, m_bits, k, full_width)),
-            );
-            acc.push_column_reusing(scratch, &samples[..take], ss);
+            acc.push_product_column(cand, mask, &kn[..take], &samples[..take], ss);
         }
         (acc.corr(), acc.hyp_variance())
     }
@@ -320,9 +318,8 @@ fn extend_beam<'a>(
         m.correlations.add(cands.len() as u64);
         // Sample-side sums once per level, not once per candidate.
         let col_sums = tc.extend_sums(max_points);
-        let scores = exec::map_with(&cands, Vec::new, |scratch, &c| {
-            tc.extend_score(scratch, c, next, full_width, max_points, &col_sums)
-        });
+        let scores =
+            exec::map(&cands, |&c| tc.extend_score(c, next, full_width, max_points, &col_sums));
         // Correlation handicaps candidates with low hypothesis variance
         // (prefixes with trailing zero bits modulate few product bits; an
         // all-zero prefix is entirely constant and unfalsifiable). Keep
@@ -384,7 +381,7 @@ fn extend_monolithic<'a>(
     let blocks: Vec<u64> = (0..total.div_ceil(BLOCK)).collect();
     m.candidates.record(total as f64);
     m.correlations.add(total);
-    let block_tops = exec::map_with(&blocks, Vec::new, |scratch: &mut Vec<f64>, &blk| {
+    let block_tops = exec::map(&blocks, |&blk| {
         let (start, end) = (blk * BLOCK, (blk * BLOCK + BLOCK).min(total));
         let mut top: Vec<(u64, f64)> = Vec::with_capacity(2 * keep + 1);
         for g in start..end {
@@ -393,8 +390,7 @@ fn extend_monolithic<'a>(
                 // The implicit leading one pins bit 27.
                 continue;
             }
-            let (r, _) =
-                tc.extend_score(scratch, cand, full_width, full_width, usize::MAX, &col_sums);
+            let (r, _) = tc.extend_score(cand, full_width, full_width, usize::MAX, &col_sums);
             top.push((cand, r));
             if top.len() == 2 * keep {
                 // Keep the block's running top-`keep` under a total

@@ -137,6 +137,59 @@ impl PearsonSums {
         self.d += hyps.len() as f64;
     }
 
+    /// Fused extend column: absorbs the partial-product hypotheses
+    /// `h_i = HW((cand · knowns[i]) & mask)` against `samples` without
+    /// materialising them (the generation runs inside the
+    /// [`simd::product_lanes`] tile), with the sample sums reused from
+    /// `sums` as in [`push_column_reusing`](PearsonSums::push_column_reusing).
+    ///
+    /// Σt, Σt² and Σht fold lanes and then the tail in exactly the order
+    /// `push_column_reusing` uses. Σh and Σh² are added as exact integer
+    /// totals: each `h ≤ 64`, so they stay below 2^53 — where every f64
+    /// addition of integers is exact, in any order — for any number of
+    /// absorbed pairs below 2^41. The result is therefore **bit-identical**
+    /// to materialising the column with
+    /// [`hyp_partial_product`](crate::model::hyp_partial_product) and
+    /// calling `push_column_reusing`, provided the accumulator's Σh/Σh²
+    /// held integers (as they do when only integer hypotheses were
+    /// absorbed — the extend step's case).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the column lengths differ, or when `sums` was built
+    /// from a column of a different length.
+    pub fn push_product_column(
+        &mut self,
+        cand: u32,
+        mask: u64,
+        knowns: &[u32],
+        samples: &[f32],
+        sums: &SampleSums,
+    ) {
+        assert_eq!(knowns.len(), samples.len(), "known and sample columns must align");
+        assert_eq!(samples.len(), sums.len, "SampleSums built from a different column length");
+        let lanes = simd::product_lanes(cand, mask, knowns, samples);
+        for j in 0..TILE_LANES {
+            self.st += sums.st[j];
+            self.st2 += sums.st2[j];
+            self.sht += lanes.sht[j];
+        }
+        let (mut sh, mut sh2) = (lanes.sh, lanes.sh2);
+        let n = knowns.len() - knowns.len() % TILE_LANES;
+        for (&k, &t) in knowns[n..].iter().zip(&samples[n..]) {
+            let h = simd::masked_product_weight(cand, mask, k);
+            let t = t as f64;
+            sh += u64::from(h);
+            sh2 += u64::from(h * h);
+            self.st += t;
+            self.st2 += t * t;
+            self.sht += f64::from(h) * t;
+        }
+        self.sh += sh as f64;
+        self.sh2 += sh2 as f64;
+        self.d += knowns.len() as f64;
+    }
+
     /// The Pearson correlation of everything absorbed so far (0 when a
     /// side is constant — no information).
     pub fn corr(&self) -> f64 {

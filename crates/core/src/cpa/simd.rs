@@ -1,5 +1,7 @@
 //! Runtime-dispatched SIMD tile kernels behind
-//! [`PearsonSums::push_column`](super::PearsonSums::push_column).
+//! [`PearsonSums::push_column`](super::PearsonSums::push_column) and the
+//! fused extend column
+//! [`PearsonSums::push_product_column`](super::PearsonSums::push_product_column).
 //!
 //! # The numeric contract
 //!
@@ -14,6 +16,22 @@
 //! exhaustively by `crates/core/tests/kernel_differential.rs` — which
 //! is what lets the determinism suite treat kernel choice like thread
 //! count: an execution detail that cannot move a single output bit.
+//!
+//! # The fused extend tile
+//!
+//! [`product_lanes`] generates the extend step's partial-product
+//! hypotheses `h = HW((cand · k) & mask)` inside the tile instead of
+//! reading them from a materialised `f64` column. The AVX2 kernel
+//! widens four 32-bit knowns to 64-bit lanes and multiplies them by the
+//! candidate with `vpmuludq` — a 32×32 → 64-bit product, exact for any
+//! operands (the attack's are below 2^28) — masks, popcounts with a
+//! nibble lookup, and converts the count (≤ 64) to `f64` exactly via the
+//! 2^52 bias. Σht keeps the lane schedule and the separate multiply and
+//! add of [`tile_lanes_hyp`]; Σh and Σh² are exact integers, which are
+//! below 2^53 — so exactly representable, in any summation order — for
+//! columns shorter than 2^41. Hence the fused tile is bit-identical to
+//! generating the column and calling the hypothesis tile, under every
+//! kernel. aarch64 runs the scalar reference of this tile.
 //!
 //! # Selection
 //!
@@ -33,12 +51,14 @@
 //!
 //! # Safety policy
 //!
-//! This module contains the workspace's only `unsafe` code. The
-//! `falcon-ct` unsafe audit allowlists exactly this path
-//! (`crates/core/src/cpa/simd`) and requires a `// SAFETY:` comment on
-//! every block; CI fails on any `unsafe` anywhere else. All pointer
+//! This module contains the workspace's only `unsafe` code, the fused
+//! tile included. The `falcon-ct` unsafe audit allowlists exactly this
+//! path (`crates/core/src/cpa/simd`) and requires a `// SAFETY:` comment
+//! on every block; CI fails on any `unsafe` anywhere else. All pointer
 //! arithmetic is bounded by the `n = len - len % TILE_LANES` prefix the
-//! dispatcher computes from the (asserted equal-length) input slices.
+//! kernels compute from the (asserted equal-length) input slices: each
+//! iteration reads `TILE_LANES` elements at `i` with
+//! `i + TILE_LANES <= n` — four `f64`/`u32`/`f32` values, never more.
 
 use crate::obs;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -210,12 +230,40 @@ pub struct HypLanes {
     pub sht: [f64; TILE_LANES],
 }
 
+/// Fused partial-product tile state (see [`product_lanes`]): Σh and Σh²
+/// as exact integer totals over the aligned prefix, Σht per lane.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub struct ProductLanes {
+    /// Σh over the aligned prefix (exact).
+    pub sh: u64,
+    /// Σh² over the aligned prefix (exact).
+    pub sh2: u64,
+    /// Σht per lane.
+    pub sht: [f64; TILE_LANES],
+}
+
+/// The fused tile's hypothesis: `HW((cand · k) & mask)`. Both factors
+/// are 32-bit, so the 64-bit product is exact; with `mask` =
+/// `(1 << m) - 1` this is [`hyp_partial_product`] for an `m`-bit window
+/// and with `u64::MAX` its full-width case.
+///
+/// [`hyp_partial_product`]: crate::model::hyp_partial_product
+#[inline]
+pub(crate) fn masked_product_weight(cand: u32, mask: u64, k: u32) -> u32 {
+    ((u64::from(cand) * u64::from(k)) & mask).count_ones()
+}
+
 /// Lane-wise accumulation over the aligned prefix (`len - len %
 /// TILE_LANES` elements) of a column pair, dispatched to the active
 /// kernel. The caller folds the lanes in index order and handles the
-/// remainder; both slices must have the same length.
+/// remainder.
+///
+/// # Panics
+///
+/// Panics when the column lengths differ (the SIMD kernels' loads are
+/// bounded by `hyps.len()` alone).
 pub fn tile_lanes(hyps: &[f64], samples: &[f32]) -> Lanes {
-    debug_assert_eq!(hyps.len(), samples.len());
+    assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
     match active_kernel() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch reaches Avx2 only when runtime detection
@@ -230,9 +278,10 @@ pub fn tile_lanes(hyps: &[f64], samples: &[f32]) -> Lanes {
 }
 
 /// Hypothesis-side counterpart of [`tile_lanes`]: skips the Σt/Σt²
-/// streams entirely (they are candidate-independent).
+/// streams entirely (they are candidate-independent). Panics when the
+/// column lengths differ.
 pub fn tile_lanes_hyp(hyps: &[f64], samples: &[f32]) -> HypLanes {
-    debug_assert_eq!(hyps.len(), samples.len());
+    assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
     match active_kernel() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch reaches Avx2 only when runtime detection
@@ -244,6 +293,64 @@ pub fn tile_lanes_hyp(hyps: &[f64], samples: &[f32]) -> HypLanes {
         Kernel::Neon => unsafe { tile_lanes_hyp_neon(hyps, samples) },
         _ => tile_lanes_hyp_scalar(hyps, samples),
     }
+}
+
+/// Fused extend tile: generates the partial-product hypotheses
+/// `h = HW((cand · k) & mask)` for the aligned prefix of `knowns` and
+/// accumulates them against `samples` in one pass, with no hypothesis
+/// column in memory. Σht follows the lane schedule of
+/// [`tile_lanes_hyp`] (lane `j` takes every [`TILE_LANES`]-th element,
+/// multiply then add), so it is bit-equal to that tile fed the
+/// materialised `h` column; Σh and Σh² are exact integers. Dispatched
+/// to the active kernel; aarch64 runs the scalar reference.
+///
+/// # Panics
+///
+/// Panics when the column lengths differ (the AVX2 kernel's loads are
+/// bounded by `knowns.len()` alone).
+pub fn product_lanes(cand: u32, mask: u64, knowns: &[u32], samples: &[f32]) -> ProductLanes {
+    assert_eq!(knowns.len(), samples.len(), "known and sample columns must align");
+    match active_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch reaches Avx2 only when runtime detection
+        // confirmed the host supports the avx2 target feature.
+        Kernel::Avx2 => unsafe { product_lanes_avx2(cand, mask, knowns, samples) },
+        _ => product_lanes_scalar(cand, mask, knowns, samples),
+    }
+}
+
+/// Scalar reference for the fused extend tile. It generates the
+/// weights a stack block at a time (a loop the compiler vectorises)
+/// and then accumulates the block in lane order; Σh and Σh² run in f64
+/// lanes, exact because every partial sum is an integer below 2^53.
+pub(crate) fn product_lanes_scalar(
+    cand: u32,
+    mask: u64,
+    knowns: &[u32],
+    samples: &[f32],
+) -> ProductLanes {
+    const BLOCK: usize = 64 * TILE_LANES;
+    let n = knowns.len() - knowns.len() % TILE_LANES;
+    let mut l = ProductLanes::default();
+    let mut h = [0f64; BLOCK];
+    let (mut sh, mut sh2) = ([0f64; TILE_LANES], [0f64; TILE_LANES]);
+    for (kb, sb) in knowns[..n].chunks(BLOCK).zip(samples[..n].chunks(BLOCK)) {
+        for (hi, &k) in h.iter_mut().zip(kb) {
+            *hi = f64::from(masked_product_weight(cand, mask, k));
+        }
+        for (hh, ss) in h[..kb.len()].chunks_exact(TILE_LANES).zip(sb.chunks_exact(TILE_LANES)) {
+            for j in 0..TILE_LANES {
+                sh[j] += hh[j];
+                sh2[j] += hh[j] * hh[j];
+                l.sht[j] += hh[j] * f64::from(ss[j]);
+            }
+        }
+    }
+    for j in 0..TILE_LANES {
+        l.sh += sh[j] as u64;
+        l.sh2 += sh2[j] as u64;
+    }
+    l
 }
 
 /// The reference tile: four independent scalar lanes, multiply then
@@ -355,6 +462,76 @@ unsafe fn tile_lanes_hyp_avx2(hyps: &[f64], samples: &[f32]) -> HypLanes {
         let mut l = HypLanes::default();
         _mm256_storeu_pd(l.sh.as_mut_ptr(), vsh);
         _mm256_storeu_pd(l.sh2.as_mut_ptr(), vsh2);
+        _mm256_storeu_pd(l.sht.as_mut_ptr(), vsht);
+        l
+    }
+}
+
+/// AVX2 fused extend tile: four `u64` lanes of `knowns` widened with
+/// `vpmovzxdq`, multiplied by `cand` with `vpmuludq` (32×32 → 64 bits,
+/// exact), masked, popcounted with a nibble lookup (`vpshufb`) summed
+/// per lane by `vpsadbw`, and converted to `f64` exactly through the
+/// 2^52 bias (a count ≤ 64 ORed into the mantissa of 2^52, then 2^52
+/// subtracted). Σht is a separate multiply and add per lane as in
+/// [`tile_lanes_hyp_avx2`]; Σh and Σh² stay in integer lanes.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX2 (runtime-detected in the
+/// dispatcher) and that `knowns.len() == samples.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: unsafe solely via target_feature; dispatch checks AVX2 first.
+unsafe fn product_lanes_avx2(
+    cand: u32,
+    mask: u64,
+    knowns: &[u32],
+    samples: &[f32],
+) -> ProductLanes {
+    use std::arch::x86_64::*;
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    let n = knowns.len() - knowns.len() % TILE_LANES;
+    // SAFETY: (whole body) each access reads TILE_LANES u32 knowns or
+    // f32 samples at i, with i + TILE_LANES <= n <= both slice lengths;
+    // loadu imposes no alignment.
+    unsafe {
+        let vcand = _mm256_set1_epi64x(i64::from(cand));
+        let vmask = _mm256_set1_epi64x(mask as i64);
+        let nibble = _mm256_set1_epi8(0x0F);
+        #[rustfmt::skip]
+        let weights = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        );
+        let vbias = _mm256_set1_pd(TWO_POW_52);
+        let vbias_bits = _mm256_castpd_si256(vbias);
+        let zero = _mm256_setzero_si256();
+        let mut vsh = zero;
+        let mut vsh2 = zero;
+        let mut vsht = _mm256_setzero_pd();
+        let mut i = 0usize;
+        while i + TILE_LANES <= n {
+            let k = _mm256_cvtepu32_epi64(_mm_loadu_si128(knowns.as_ptr().add(i).cast()));
+            let p = _mm256_and_si256(_mm256_mul_epu32(k, vcand), vmask);
+            let lo = _mm256_shuffle_epi8(weights, _mm256_and_si256(p, nibble));
+            let hi =
+                _mm256_shuffle_epi8(weights, _mm256_and_si256(_mm256_srli_epi16(p, 4), nibble));
+            let w = _mm256_sad_epu8(_mm256_add_epi8(lo, hi), zero);
+            vsh = _mm256_add_epi64(vsh, w);
+            vsh2 = _mm256_add_epi64(vsh2, _mm256_mul_epu32(w, w));
+            let h = _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(w, vbias_bits)), vbias);
+            let t = _mm256_cvtps_pd(_mm_loadu_ps(samples.as_ptr().add(i)));
+            vsht = _mm256_add_pd(vsht, _mm256_mul_pd(h, t));
+            i += TILE_LANES;
+        }
+        let (mut sh, mut sh2) = ([0u64; TILE_LANES], [0u64; TILE_LANES]);
+        _mm256_storeu_si256(sh.as_mut_ptr().cast(), vsh);
+        _mm256_storeu_si256(sh2.as_mut_ptr().cast(), vsh2);
+        let mut l = ProductLanes::default();
+        for j in 0..TILE_LANES {
+            l.sh += sh[j];
+            l.sh2 += sh2[j];
+        }
         _mm256_storeu_pd(l.sht.as_mut_ptr(), vsht);
         l
     }

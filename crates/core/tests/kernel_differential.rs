@@ -5,7 +5,10 @@
 //! correlations — for every input class the attack can feed it. The
 //! suite drives the public `push_column`/`push_column_reusing` API with
 //! the kernel pinned to `scalar` and then to `auto`, and compares the
-//! raw accumulator components with `f64::to_bits`.
+//! raw accumulator components with `f64::to_bits`. The fused
+//! `push_product_column` extend tile is held to the same standard and,
+//! in addition, to the unfused reference it replaces
+//! (`hyp_partial_product` → `push_column_reusing`).
 //!
 //! On a host without AVX2/NEON, `auto` resolves to the scalar tile and
 //! every assertion degenerates to scalar-vs-scalar: the suite still
@@ -14,6 +17,7 @@
 
 use falcon_dema::cpa::simd::{self, Kernel, KernelChoice};
 use falcon_dema::cpa::{pearson, pearson_with_moments, PearsonSums, SampleMoments, SampleSums};
+use falcon_dema::model::hyp_partial_product;
 use std::sync::Mutex;
 
 /// Kernel selection is process-global; tests that override it must not
@@ -45,6 +49,23 @@ impl Rng {
         (self.next() % 2048) as f32 / 64.0 - 16.0
     }
 }
+
+/// Sample values every kernel must propagate identically: NaN,
+/// infinities, signed zeros, subnormals and f32 saturation.
+const SPECIAL_SAMPLES: [f32; 12] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    0.0,
+    -0.0,
+    f32::MIN_POSITIVE,        // smallest normal
+    f32::MIN_POSITIVE / 2.0,  // subnormal
+    -f32::MIN_POSITIVE / 4.0, // negative subnormal
+    f32::MAX,                 // saturated capture
+    f32::MIN,
+    1.0e-45, // smallest positive subnormal
+    3.4e38,
+];
 
 fn random_columns(len: usize, seed: u64) -> (Vec<f64>, Vec<f32>) {
     let mut rng = Rng::new(seed);
@@ -116,21 +137,7 @@ fn pathological_sample_values() {
     // propagate identically through every kernel (IEEE semantics of
     // mul/add/convert are exact and kernel-independent; the suite pins
     // that no kernel "cleans up" or flushes anything).
-    let specials: [f32; 12] = [
-        f32::NAN,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        0.0,
-        -0.0,
-        f32::MIN_POSITIVE,        // smallest normal
-        f32::MIN_POSITIVE / 2.0,  // subnormal
-        -f32::MIN_POSITIVE / 4.0, // negative subnormal
-        f32::MAX,                 // saturated capture
-        f32::MIN,
-        1.0e-45, // smallest positive subnormal
-        3.4e38,
-    ];
-    for (i, &special) in specials.iter().enumerate() {
+    for (i, &special) in SPECIAL_SAMPLES.iter().enumerate() {
         for len in [5usize, 64, 131] {
             let (h, mut t) = random_columns(len, 0xBAD0 + i as u64);
             // Scatter the special value into several lanes and the tail.
@@ -211,5 +218,170 @@ fn active_kernel_reports_detection() {
         assert_ne!(auto, Kernel::Scalar, "SIMD host must auto-select a vector kernel");
     } else {
         assert_eq!(auto, Kernel::Scalar, "non-SIMD host must fall back to the scalar tile");
+    }
+}
+
+// ---- fused partial-product tile --------------------------------------
+
+/// One extend column: 25/28-bit known mantissa halves and samples.
+type ProductColumn = (Vec<u32>, Vec<f32>);
+
+fn random_product_column(len: usize, known_bits: u32, seed: u64) -> ProductColumn {
+    let mut rng = Rng::new(seed);
+    let k = (0..len).map(|_| (rng.next() & ((1 << known_bits) - 1)) as u32).collect();
+    let t = (0..len).map(|_| rng.sample()).collect();
+    (k, t)
+}
+
+/// The extend step's window mask: the low `m_bits` of the product, or
+/// the whole product once the window covers the half.
+fn window_mask(m_bits: u32, full_width: u32) -> u64 {
+    if m_bits >= full_width {
+        u64::MAX
+    } else {
+        (1u64 << m_bits) - 1
+    }
+}
+
+/// Sums of `cols` fed through the fused `push_product_column` tile.
+fn fused_under(
+    choice: KernelChoice,
+    cand: u32,
+    m_bits: u32,
+    full_width: u32,
+    cols: &[ProductColumn],
+) -> [u64; 6] {
+    simd::set_kernel(Some(choice));
+    let mut s = PearsonSums::default();
+    for (k, t) in cols {
+        s.push_product_column(cand, window_mask(m_bits, full_width), k, t, &SampleSums::new(t));
+    }
+    simd::set_kernel(None);
+    s.components().map(f64::to_bits)
+}
+
+/// The unfused reference: materialise `hyp_partial_product`, then
+/// `push_column_reusing`.
+fn unfused_under(
+    choice: KernelChoice,
+    cand: u32,
+    m_bits: u32,
+    full_width: u32,
+    cols: &[ProductColumn],
+) -> [u64; 6] {
+    simd::set_kernel(Some(choice));
+    let mut s = PearsonSums::default();
+    for (k, t) in cols {
+        let h: Vec<f64> =
+            k.iter().map(|&k| hyp_partial_product(cand.into(), m_bits, k, full_width)).collect();
+        s.push_column_reusing(&h, t, &SampleSums::new(t));
+    }
+    simd::set_kernel(None);
+    s.components().map(f64::to_bits)
+}
+
+/// Asserts the fused tile matches itself across kernels and the
+/// unfused reference under both kernels, bit for bit.
+fn assert_fused_bit_identical(
+    cand: u32,
+    m_bits: u32,
+    full_width: u32,
+    cols: &[ProductColumn],
+    what: &str,
+) {
+    let scalar = fused_under(KernelChoice::Scalar, cand, m_bits, full_width, cols);
+    let auto = fused_under(KernelChoice::Auto, cand, m_bits, full_width, cols);
+    assert_eq!(scalar, auto, "fused sums diverge across kernels: {what}");
+    for choice in [KernelChoice::Scalar, KernelChoice::Auto] {
+        let reference = unfused_under(choice, cand, m_bits, full_width, cols);
+        assert_eq!(scalar, reference, "fused sums diverge from unfused ({choice:?}): {what}");
+    }
+}
+
+/// `(m_bits, full_width)` pairs: intermediate windows of the low half
+/// plus the full 25- and 28-bit widths.
+const WINDOWS: [(u32, u32); 6] = [(1, 25), (8, 25), (16, 25), (24, 25), (25, 25), (28, 28)];
+
+#[test]
+fn fused_tile_lane_remainders_and_windows() {
+    let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for len in [0usize, 1, 2, 3, 4, 5, 6, 7, 700, 701, 4000, 6000] {
+        for (w, &(m_bits, full_width)) in WINDOWS.iter().enumerate() {
+            let seed = 0xF05E ^ (len as u64) << 8 ^ w as u64;
+            let col = random_product_column(len, full_width, seed);
+            let mut rng = Rng::new(seed ^ 0xCA4D);
+            let mut cand = (rng.next() & ((1 << m_bits) - 1)) as u32;
+            if full_width == 28 {
+                cand |= 1 << 27;
+            }
+            let what = format!("len={len} m_bits={m_bits}/{full_width} cand={cand:#x}");
+            assert_fused_bit_identical(cand, m_bits, full_width, &[col], &what);
+        }
+    }
+}
+
+#[test]
+fn fused_tile_extreme_operands() {
+    let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let ones25 = (1u32 << 25) - 1;
+    let ones28 = (1u32 << 28) - 1;
+    let extremes = [0, 1, ones25, ones28, 1 << 27, (1 << 27) | 1, u32::MAX];
+    for (i, &cand) in extremes.iter().enumerate() {
+        for (j, &known) in extremes.iter().enumerate() {
+            for len in [5usize, 64, 131] {
+                // A constant column of the extreme known, and a random
+                // 28-bit column salted with it in several lanes.
+                let (_, t) = random_product_column(len, 28, 0xE7 + (i * 8 + j) as u64);
+                let constant = [(vec![known; len], t)];
+                let (mut k, t) = random_product_column(len, 28, 0x7E + (i * 8 + j) as u64);
+                for at in (0..len).step_by(3) {
+                    k[at] = known;
+                }
+                let salted = [(k, t)];
+                for &(m_bits, full_width) in &WINDOWS {
+                    let what = format!("cand={cand:#x} known={known:#x} len={len} m={m_bits}");
+                    let (c, s) = (format!("constant {what}"), format!("salted {what}"));
+                    assert_fused_bit_identical(cand, m_bits, full_width, &constant, &c);
+                    assert_fused_bit_identical(cand, m_bits, full_width, &salted, &s);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_tile_pathological_sample_values() {
+    let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (i, &special) in SPECIAL_SAMPLES.iter().enumerate() {
+        for len in [5usize, 64, 131] {
+            let (k, mut t) = random_product_column(len, 25, 0xBAD1 + i as u64);
+            let mut rng = Rng::new(0xCAFF + i as u64);
+            for _ in 0..=len / 7 {
+                let at = (rng.next() as usize) % len;
+                t[at] = special;
+            }
+            let cand = (rng.next() & ((1 << 25) - 1)) as u32;
+            let cols = [(k, t)];
+            for &(m_bits, full_width) in &WINDOWS {
+                let what = format!("special {special:?} len={len} m_bits={m_bits}");
+                assert_fused_bit_identical(cand, m_bits, full_width, &cols, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_tile_multi_column_accumulation() {
+    let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The extend score folds four product columns (two occurrences ×
+    // two known halves) into one accumulator, capped per column.
+    for &(m_bits, full_width) in &WINDOWS {
+        let cols: Vec<ProductColumn> = [33usize, 4, 7, 701, 1, 4000]
+            .iter()
+            .map(|&n| random_product_column(n, full_width, 0x5E1 + n as u64))
+            .collect();
+        let cand = (0x0A5C_3E71u32 & ((1u64 << m_bits) - 1) as u32) | (1 << (m_bits - 1));
+        let what = format!("multi-column m_bits={m_bits}/{full_width}");
+        assert_fused_bit_identical(cand, m_bits, full_width, &cols, &what);
     }
 }
